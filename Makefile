@@ -228,6 +228,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzFFTInverse -fuzztime=$(FUZZTIME) ./internal/fft
 	$(GO) test -fuzz=FuzzAnyPlanDFT -fuzztime=$(FUZZTIME) ./internal/fft
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=$(FUZZTIME) ./internal/cluster/wire
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeFFTRequest -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeFFT2DRequest -fuzztime=$(FUZZTIME) ./internal/server
 
 # vuln scans the module with govulncheck when it is installed; the tool
 # is optional so offline environments are not broken.

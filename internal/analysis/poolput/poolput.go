@@ -12,7 +12,7 @@
 //     plain call, a deferred call, or a call inside a deferred closure
 //     (defer func() { p.Put(b) }());
 //   - the Get result is returned to the caller — get-style wrappers
-//     (getXBuf) transfer the Put obligation upward.
+//     (getCBuf) transfer the Put obligation upward.
 //
 // The match is per pool expression (types.ExprString), the same
 // source-order heuristic the lockhold analyzer uses for lock identity.

@@ -180,7 +180,7 @@ func TestRegisteredSuitesSetUpAndRun(t *testing.T) {
 		names[s.Name] = true
 	}
 	opt := Options{Samples: 1, MinSampleTime: time.Nanosecond, Warmup: 1}
-	for _, pattern := range []string{"fft/transform", "parfft/hypercube", "plancache", "netsim/route/hypermesh", "fftd/http"} {
+	for _, pattern := range []string{"fft/transform", "parfft/hypercube", "plancache", "netsim/route/hypermesh", "http/decode", "http/encode", "fftd/http"} {
 		suites, err := Select(pattern)
 		if err != nil {
 			t.Fatal(err)

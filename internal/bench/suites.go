@@ -83,6 +83,8 @@ func All() []Suite {
 		{Name: fmt.Sprintf("netsim/route/mesh/n%d", machineN), Setup: setupRoute("mesh")},
 		{Name: fmt.Sprintf("netsim/route/hypercube/n%d", machineN), Setup: setupRoute("hypercube")},
 		{Name: fmt.Sprintf("netsim/route/hypermesh/n%d", machineN), Setup: setupRoute("hypermesh")},
+		{Name: fmt.Sprintf("http/decode/json/n%d", httpN), Setup: setupHTTPDecode},
+		{Name: fmt.Sprintf("http/encode/json/n%d", httpN), Setup: setupHTTPEncode},
 		{Name: fmt.Sprintf("fftd/http/fft/n%d", httpN), Setup: setupHTTPFFT},
 		{Name: fmt.Sprintf("cluster/route/n%d", httpN), Setup: setupClusterRoute, Comm: commClusterRoute},
 		{Name: fmt.Sprintf("pencil/2d/%dx%d", pencilRows, pencilCols), Setup: setupPencil, Comm: commPencil},
@@ -450,6 +452,55 @@ func buildClusterRoute() (*cluster.Client, *wire.TransformOp, func(), error) {
 	return client, &op, cleanup, nil
 }
 
+// httpFFTBody is the request of the HTTP suites: one forward complex
+// transform of httpN seeded samples, as JSON.
+func httpFFTBody() ([]byte, error) {
+	input := make([]server.Complex, httpN)
+	rng := rand.New(rand.NewSource(8))
+	for i := range input {
+		input[i] = server.Complex{rng.NormFloat64(), rng.NormFloat64()}
+	}
+	return json.Marshal(server.FFTRequest{TransformSpec: server.TransformSpec{Input: input}})
+}
+
+// setupHTTPDecode times the /v1/fft request decode layer alone: the
+// body of fftd/http/fft parsed into pooled samples, no HTTP.
+func setupHTTPDecode() (func() error, func(), error) {
+	body, err := httpFFTBody()
+	if err != nil {
+		return nil, nil, err
+	}
+	return func() error {
+		n, err := server.DecodeFFTBody(body)
+		if err == nil && n != 1 {
+			err = fmt.Errorf("bench: decoded %d transforms, want 1", n)
+		}
+		return err
+	}, nil, nil
+}
+
+// setupHTTPEncode times the response encode layer alone: the
+// FFTResponse of fftd/http/fft rendered as the compact JSON body fftd
+// writes, no HTTP.
+func setupHTTPEncode() (func() error, func(), error) {
+	p, err := fft.NewPlan(httpN)
+	if err != nil {
+		return nil, nil, err
+	}
+	spec := make([]complex128, httpN)
+	p.Transform(spec, randComplex(httpN, 8))
+	out := make([]server.Complex, httpN)
+	for i, v := range spec {
+		out[i] = server.Complex{real(v), imag(v)}
+	}
+	resp := server.FFTResponse{Batch: 1, Results: []server.TransformResult{{N: httpN, Output: out}}}
+	var buf bytes.Buffer
+	return func() error {
+		buf.Reset()
+		return server.EncodeResponse(&buf, resp)
+	}, nil, nil
+}
+
 func setupHTTPFFT() (func() error, func(), error) {
 	srv := server.New(server.Config{Workers: 2, QueueDepth: 64})
 	ts := httptest.NewServer(srv.Handler())
@@ -458,12 +509,7 @@ func setupHTTPFFT() (func() error, func(), error) {
 		srv.Close()
 	}
 
-	input := make([]server.Complex, httpN)
-	rng := rand.New(rand.NewSource(8))
-	for i := range input {
-		input[i] = server.Complex{rng.NormFloat64(), rng.NormFloat64()}
-	}
-	body, err := json.Marshal(server.FFTRequest{TransformSpec: server.TransformSpec{Input: input}})
+	body, err := httpFFTBody()
 	if err != nil {
 		cleanup()
 		return nil, nil, err

@@ -67,6 +67,16 @@ func (b *breaker) record(ok bool) {
 	}
 }
 
+// release ends an attempt that was cancelled before it produced an
+// outcome, recording neither success nor failure. If the attempt was
+// the half-open probe, the next request may probe again; without this
+// the breaker would refuse the peer for good.
+func (b *breaker) release() {
+	b.mu.Lock()
+	b.probing = false
+	b.mu.Unlock()
+}
+
 // reset closes the breaker (peer recovered via heartbeat).
 func (b *breaker) reset() {
 	b.mu.Lock()

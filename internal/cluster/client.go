@@ -468,14 +468,19 @@ func (c *Client) attempt(ctx context.Context, id string, op *wire.TransformOp, k
 	out, remoteMsg, err := c.rpcTransform(ctx, id, op, sp)
 	b := c.breaker(id)
 	switch {
+	case err != nil && ctx.Err() != nil:
+		// The round was settled (another attempt won) or the request
+		// gave up: the cut-off says nothing about the peer's health, so
+		// it feeds neither the breaker nor the registry. Counting it
+		// would let a slow-but-healthy peer that loses a few hedge races
+		// be evicted from the ring.
+		b.release()
+		outcome("canceled")
+		return attemptResult{peer: id, err: fmt.Errorf("cluster: peer %s: %w", id, err), sp: sp}
 	case err != nil:
 		b.record(false)
 		c.reg.ReportFailure(id, err)
-		if ctx.Err() != nil {
-			outcome("canceled")
-		} else {
-			outcome("failed")
-		}
+		outcome("failed")
 		return attemptResult{peer: id, err: fmt.Errorf("cluster: peer %s: %w", id, err), sp: sp}
 	case remoteMsg != "":
 		// The peer is healthy — it executed and reported an application

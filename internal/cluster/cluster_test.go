@@ -515,3 +515,101 @@ func TestClusterRemoteErrorNotRetried(t *testing.T) {
 		t.Fatalf("remote application error burned %d retry rounds", m.Retries)
 	}
 }
+
+// TestHedgeLoserIsNotAPeerFailure — a slow but healthy peer that keeps
+// losing hedge races is not failing: the cancelled loser attempts must
+// feed neither its breaker nor the registry, so after more lost rounds
+// than FailThreshold the peer is still in the ring with a closed
+// breaker.
+func TestHedgeLoserIsNotAPeerFailure(t *testing.T) {
+	const threshold = 2
+	exec := planExecutor(plancache.New(8))
+	slowExec := func(ctx context.Context, op *wire.TransformOp) ([]complex128, error) {
+		time.Sleep(60 * time.Millisecond)
+		return exec(ctx, op)
+	}
+	slow, err := Listen("127.0.0.1:0", NodeConfig{Exec: slowExec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	fast, err := Listen("127.0.0.1:0", NodeConfig{Exec: planExecutor(plancache.New(8))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fast.Close()
+
+	reg := NewRegistry("client", []string{slow.Addr(), fast.Addr()}, RegistryConfig{FailThreshold: threshold})
+	client, err := NewClient(reg, ClientConfig{
+		Self:             "client",
+		Local:            planExecutor(plancache.New(8)),
+		HedgeDelay:       5 * time.Millisecond,
+		BreakerThreshold: threshold,
+		BreakerCooldown:  time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	var op *wire.TransformOp
+	for i := 0; i < 32 && op == nil; i++ {
+		if prefs := reg.Ring().LookupN(KeyFor(shapeOp(i)).Hash(), 3); len(prefs) > 0 && prefs[0] == slow.Addr() {
+			op = shapeOp(i)
+		}
+	}
+	if op == nil {
+		t.Fatal("no shape has the slow peer as its primary")
+	}
+
+	// healthy fails unless the slow peer is still routable: in the ring,
+	// no failures counted, breaker closed.
+	healthy := func(lost int) {
+		t.Helper()
+		// No breaker yet (no attempt so far) counts as closed.
+		if st, ok := client.BreakerStates()[slow.Addr()]; ok && st != "closed" {
+			t.Fatalf("slow peer breaker %q after %d lost hedge races, want closed", st, lost)
+		}
+		for _, p := range reg.Peers() {
+			if p.ID == slow.Addr() && (!p.InRing || p.ConsecFails != 0) {
+				t.Fatalf("slow peer evicted or marked failing after %d lost hedge races: %+v", lost, p)
+			}
+		}
+	}
+	rounds := threshold + 2
+	for i := 0; i < rounds; i++ {
+		healthy(i)
+		tr := obs.New()
+		root := tr.Start("request")
+		ctx := obs.WithTracer(obs.WithSpan(context.Background(), root), tr)
+		if _, err := client.Transform(ctx, op); err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		// The loser settles asynchronously; its span is tagged with an
+		// outcome only after the attempt's accounting is done.
+		deadline := time.Now().Add(5 * time.Second)
+		for !loserSettled(tr, slow.Addr()) {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: the slow peer's attempt never settled", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		root.End()
+	}
+	healthy(rounds)
+	if m := client.Metrics(); m.HedgeWon < int64(rounds) {
+		t.Fatalf("hedges won %d of %d rounds; the slow peer was not the loser: %+v", m.HedgeWon, rounds, m)
+	}
+}
+
+// loserSettled reports whether tr holds an attempt span on peer tagged
+// with its outcome.
+func loserSettled(tr *obs.Tracer, peer string) bool {
+	for _, sp := range tr.Snapshot() {
+		if sp.Name == "cluster.attempt" && strings.Contains(sp.Detail, "peer="+peer+" ") &&
+			strings.Contains(sp.Detail, "outcome=") {
+			return true
+		}
+	}
+	return false
+}

@@ -122,6 +122,25 @@ func TestShapeKeyHashSeparates(t *testing.T) {
 	}
 }
 
+// TestBreakerReleaseFreesProbe — a half-open probe cancelled before it
+// produced an outcome frees the probe slot without counting a failure.
+func TestBreakerReleaseFreesProbe(t *testing.T) {
+	now := time.Unix(0, 0)
+	b := newBreaker(1, time.Second, func() time.Time { return now })
+	b.record(false)
+	now = now.Add(time.Second)
+	if !b.allow() || b.allow() {
+		t.Fatal("half-open breaker must admit exactly one probe")
+	}
+	b.release()
+	if got := b.state(); got != "half-open" {
+		t.Fatalf("state after a released probe = %s, want half-open", got)
+	}
+	if !b.allow() {
+		t.Fatal("released probe left the breaker refusing every request")
+	}
+}
+
 func TestBreakerLifecycle(t *testing.T) {
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }

@@ -92,7 +92,7 @@ func TestClusterSlowTraceRemoteSpans(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status = %d", resp.StatusCode)
 	}
-	resp.Body.Close()
+	drainClose(resp)
 	id := resp.Header.Get("X-Request-ID")
 
 	r, err := testClient.Get(sc.https[0].URL + "/v1/debug/slow")

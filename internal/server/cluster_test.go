@@ -209,7 +209,7 @@ func TestClusterMetricsExposed(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status = %d", resp.StatusCode)
 	}
-	resp.Body.Close()
+	drainClose(resp)
 
 	r, err := testClient.Get(sc.https[0].URL + "/metrics")
 	if err != nil {

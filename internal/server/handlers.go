@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -30,18 +31,6 @@ import (
 
 // Complex is the wire form of one complex sample: [re, im].
 type Complex [2]float64
-
-func toComplex(pairs []Complex) []complex128 {
-	out := make([]complex128, len(pairs))
-	toComplexInto(out, pairs)
-	return out
-}
-
-func toComplexInto(dst []complex128, pairs []Complex) {
-	for i, p := range pairs {
-		dst[i] = complex(p[0], p[1])
-	}
-}
 
 func fromComplex(xs []complex128) []Complex {
 	out := make([]Complex, len(xs))
@@ -183,17 +172,18 @@ func (s *Server) executeOp(_ context.Context, op *wire.TransformOp, dst []comple
 	return out, nil
 }
 
-// runTransform executes one transform: validation, then either the
-// local plan-cache path or — when a cluster client is installed — the
-// consistent-hash ring, which may forward the op to the peer owning its
-// shape. The span (traced requests only) carries the transform kind and
-// size; untraced requests get the nil-span no-op path, keeping the
-// plancache-hit serving path allocation-free.
-func (s *Server) runTransform(ctx context.Context, spec TransformSpec) (TransformResult, error) {
+// runTransform executes one decoded transform: validation, then either
+// the local plan-cache path or — when a cluster client is installed —
+// the consistent-hash ring, which may forward the op to the peer owning
+// its shape. The input samples are read in place from the request's
+// pooled buffer. The span (traced requests only) carries the transform
+// kind and size; untraced requests get the nil-span no-op path, keeping
+// the plancache-hit serving path allocation-free.
+func (s *Server) runTransform(ctx context.Context, t transform) (TransformResult, error) {
 	sp := obs.StartChild(ctx, "transform").SetCat(obs.CatCompute)
 	defer sp.End()
 	populated := 0
-	for _, set := range []bool{len(spec.Input) > 0, len(spec.RealInput) > 0, len(spec.RealInverse) > 0} {
+	for _, set := range []bool{len(t.input) > 0, len(t.realInput) > 0, len(t.realInverse) > 0} {
 		if set {
 			populated++
 		}
@@ -201,11 +191,11 @@ func (s *Server) runTransform(ctx context.Context, spec TransformSpec) (Transfor
 	switch {
 	case populated > 1:
 		return TransformResult{}, badRequest("transform sets more than one of input, real_input and real_inverse")
-	case len(spec.RealInverse) > 0:
-		if spec.Inverse || spec.NoReorder {
+	case len(t.realInverse) > 0:
+		if t.inverse || t.noReorder {
 			return TransformResult{}, badRequest("real_inverse is already the inverse; inverse/no_reorder do not apply")
 		}
-		h := len(spec.RealInverse)
+		h := len(t.realInverse)
 		if h < 2 {
 			return TransformResult{}, badRequest("real_inverse needs at least 2 spectrum bins (n/2+1 for signal length n)")
 		}
@@ -213,56 +203,62 @@ func (s *Server) runTransform(ctx context.Context, spec TransformSpec) (Transfor
 		if sp != nil {
 			sp.SetDetail(fmt.Sprintf("real-inverse n=%d", n))
 		}
-		b := getXBuf(n)
-		defer putXBuf(b)
-		toComplexInto(b.in[:h], spec.RealInverse)
-		op := wire.TransformOp{Real: true, Inverse: true, Input: b.in[:h]}
-		out, err := s.dispatchOp(ctx, &op, b.out)
-		if err != nil {
-			return TransformResult{}, err
-		}
-		return TransformResult{N: n, Output: fromComplex(out)}, nil
-	case len(spec.RealInput) > 0:
-		if spec.Inverse {
+		op := wire.TransformOp{Real: true, Inverse: true, Input: t.realInverse}
+		return s.finishOp(ctx, &op, n)
+	case len(t.realInput) > 0:
+		if t.inverse {
 			return TransformResult{}, badRequest("real_input with inverse is invalid: a real inverse takes the half-spectrum, not samples — pass the n/2+1 bins as real_inverse")
 		}
-		if spec.NoReorder {
+		if t.noReorder {
 			return TransformResult{}, badRequest("no_reorder applies to complex input only")
 		}
-		n := len(spec.RealInput)
+		n := len(t.realInput)
 		if sp != nil {
 			sp.SetDetail(fmt.Sprintf("real n=%d", n))
 		}
-		b := getXBuf(n)
-		defer putXBuf(b)
-		op := wire.TransformOp{Real: true, RealInput: spec.RealInput}
-		out, err := s.dispatchOp(ctx, &op, b.out)
-		if err != nil {
-			return TransformResult{}, err
-		}
-		return TransformResult{N: n, Output: fromComplex(out)}, nil
-	case len(spec.Input) > 0:
-		if spec.Inverse && spec.NoReorder {
+		op := wire.TransformOp{Real: true, RealInput: t.realInput}
+		return s.finishOp(ctx, &op, n)
+	case len(t.input) > 0:
+		if t.inverse && t.noReorder {
 			return TransformResult{}, badRequest("inverse and no_reorder are mutually exclusive")
 		}
-		n := len(spec.Input)
+		n := len(t.input)
 		if sp != nil {
-			sp.SetDetail(fmt.Sprintf("complex n=%d inverse=%v", n, spec.Inverse))
+			sp.SetDetail(fmt.Sprintf("complex n=%d inverse=%v", n, t.inverse))
 		}
-		// Pooled scratch: the wire-format conversions own the only
-		// per-request allocations left on the local path.
-		b := getXBuf(n)
-		defer putXBuf(b)
-		toComplexInto(b.in, spec.Input)
-		op := wire.TransformOp{Inverse: spec.Inverse, NoReorder: spec.NoReorder, Input: b.in}
-		out, err := s.dispatchOp(ctx, &op, b.out)
-		if err != nil {
-			return TransformResult{}, err
-		}
-		return TransformResult{N: n, Output: fromComplex(out)}, nil
+		op := wire.TransformOp{Inverse: t.inverse, NoReorder: t.noReorder, Input: t.input}
+		return s.finishOp(ctx, &op, n)
 	default:
 		return TransformResult{}, badRequest("transform has no input or real_input")
 	}
+}
+
+// finishOp dispatches op, whose signal length is n, with pooled output
+// scratch and renders the result for the response. Finite inputs near
+// ±MaxFloat64 can overflow to ±Inf or NaN, which JSON cannot carry:
+// such an output is this transform's error, not a response the encoder
+// would fail on.
+func (s *Server) finishOp(ctx context.Context, op *wire.TransformOp, n int) (TransformResult, error) {
+	b := getCBuf(n)
+	defer putCBuf(b)
+	out, err := s.dispatchOp(ctx, op, b.x)
+	if err != nil {
+		return TransformResult{}, err
+	}
+	if err := checkFinite(out); err != nil {
+		return TransformResult{}, err
+	}
+	return TransformResult{N: n, Output: fromComplex(out)}, nil
+}
+
+// checkFinite rejects an output holding an infinite or NaN sample.
+func checkFinite(xs []complex128) error {
+	for i, x := range xs {
+		if math.IsInf(real(x), 0) || math.IsNaN(real(x)) || math.IsInf(imag(x), 0) || math.IsNaN(imag(x)) {
+			return badRequest("output sample %d is %v: the transform overflows float64; scale the input down", i, x)
+		}
+	}
+	return nil
 }
 
 // dispatchOp routes one op: through the cluster client when installed
@@ -303,21 +299,24 @@ func (s *Server) checkLen(n int) error {
 // batch is an independent worker-pool job, so a batch fans out across
 // the pool and large batches get the pool's backpressure.
 func (s *Server) handleFFT(w http.ResponseWriter, r *http.Request) {
-	var req FFTRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	buf, top, err := s.readFFT(w, r)
+	if err != nil {
 		writeError(w, err)
 		return
 	}
-	specs := req.Transforms
-	single := len(specs) == 0
-	if single {
-		specs = []TransformSpec{req.TransformSpec}
+	specs := buf.specs
+	if len(specs) == 0 {
+		specs = []specSpans{top}
 	}
 	if len(specs) > s.cfg.MaxBatch {
+		buf.release()
 		writeError(w, badRequest("batch of %d exceeds limit %d", len(specs), s.cfg.MaxBatch))
 		return
 	}
 
+	// Every job reads its samples from buf and releases its reference
+	// when done; a job the pool never queued is released here instead.
+	buf.share(len(specs))
 	results := make([]TransformResult, len(specs))
 	errs := make([]error, len(specs))
 	var wg sync.WaitGroup
@@ -325,9 +324,10 @@ func (s *Server) handleFFT(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			spec := specs[i]
+			t := buf.transform(specs[i])
 			errs[i] = s.pool.do(r.Context(), func() {
-				res, err := s.runTransform(r.Context(), spec)
+				defer buf.release()
+				res, err := s.runTransform(r.Context(), t)
 				if err != nil {
 					res = TransformResult{Error: err.Error()}
 				} else {
@@ -335,6 +335,9 @@ func (s *Server) handleFFT(w http.ResponseWriter, r *http.Request) {
 				}
 				results[i] = res
 			})
+			if notQueued(errs[i]) {
+				buf.release()
+			}
 		}(i)
 	}
 	wg.Wait()
@@ -587,12 +590,18 @@ func (s *Server) runSimulation(ctx context.Context, req SimulateRequest) (*Simul
 	}
 }
 
+// maxSimulateBodyBytes caps a /v1/simulate body. SimulateRequest is a
+// handful of scalars, well under a kilobyte even pretty-printed; a body
+// past the cap is a 413, as on the transform routes.
+const maxSimulateBodyBytes = 8 << 10
+
 // handleSimulate coalesces identical queries, then runs the simulation
 // on the worker pool under the request deadline.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
+	r.Body = http.MaxBytesReader(w, r.Body, maxSimulateBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, badRequest("decode: %v", err))
+		writeError(w, bodyError(err))
 		return
 	}
 	req, key := req.normalize()
@@ -743,11 +752,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // liveness — a draining process is alive but not ready.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if s.Draining() {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(HealthResponse{Status: "draining"})
+		writeJSONStatus(w, http.StatusServiceUnavailable, HealthResponse{Status: "draining"})
 		return
 	}
 	writeJSON(w, HealthResponse{Status: "ready"})

@@ -161,7 +161,7 @@ func TestSlowTraceCapture(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&sim); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	drainClose(resp)
 	id := resp.Header.Get("X-Request-ID")
 
 	resp, err := testClient.Get(ts.URL + "/v1/debug/slow")

@@ -81,53 +81,63 @@ func (s *Server) pencilWorkers(ctx context.Context) []string {
 	return workers
 }
 
+// fitsLen reports whether rows*cols*depth, all at least 1, is at most
+// limit, without computing a product that could overflow.
+func fitsLen(rows, cols, depth, limit int) bool {
+	return rows <= limit && cols <= limit/rows && depth <= limit/(rows*cols)
+}
+
 // handleFFT2D serves distributed 2D/3D pencil FFTs. The whole run is
 // one worker-pool job: coordinating a pencil run is itself
 // compute-bearing work (row FFTs on the self-owned slab run in
 // process), so it gets the pool's backpressure like any transform.
 func (s *Server) handleFFT2D(w http.ResponseWriter, r *http.Request) {
-	var req FFT2DRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	buf, req, err := s.readFFT2D(w, r)
+	if err != nil {
 		writeError(w, err)
 		return
 	}
-	depth := req.Depth
+	depth := req.depth
 	if depth == 0 {
 		depth = 1
 	}
-	if req.Rows < 1 || req.Cols < 1 || depth < 1 {
-		writeError(w, badRequest("shape %dx%dx%d: sides must be at least 1", req.Rows, req.Cols, depth))
-		return
+	switch {
+	case req.rows < 1 || req.cols < 1 || depth < 1:
+		err = badRequest("shape %dx%dx%d: sides must be at least 1", req.rows, req.cols, depth)
+	case !fitsLen(req.rows, req.cols, depth, s.cfg.MaxTransformLen):
+		err = badRequest("shape %dx%dx%d exceeds transform length limit %d", req.rows, req.cols, depth, s.cfg.MaxTransformLen)
+	case req.input.n != req.rows*req.cols*depth:
+		err = badRequest("input has %d samples, shape %dx%dx%d needs %d",
+			req.input.n, req.rows, req.cols, depth, req.rows*req.cols*depth)
 	}
-	total := req.Rows * req.Cols * depth
-	if err := s.checkLen(total); err != nil {
+	if err != nil {
+		buf.release()
 		writeError(w, err)
 		return
 	}
-	if len(req.Input) != total {
-		writeError(w, badRequest("input has %d samples, shape %dx%dx%d needs %d",
-			len(req.Input), req.Rows, req.Cols, depth, total))
-		return
-	}
-	shape := pencil.Shape2D(req.Rows, req.Cols)
+	total := req.rows * req.cols * depth
+	shape := pencil.Shape2D(req.rows, req.cols)
 	if depth > 1 {
-		shape = pencil.Shape3D(req.Rows, req.Cols, depth)
+		shape = pencil.Shape3D(req.rows, req.cols, depth)
 	}
 
+	// The job owns buf from here: it reads the samples and releases it,
+	// unless the pool never queues the job.
 	var resp *FFT2DResponse
 	var runErr error
 	poolErr := s.pool.do(r.Context(), func() {
-		in := toComplex(req.Input)
-		out := make([]complex128, total)
+		defer buf.release()
+		out := getCBuf(total)
+		defer putCBuf(out)
 		workers := s.pencilWorkers(r.Context())
 		stats, err := pencil.Run(r.Context(), pencil.Config{
 			Shape:     shape,
-			Inverse:   req.Inverse,
+			Inverse:   req.inverse,
 			Workers:   workers,
 			Transport: s.pencilTransport,
 			MemCap:    s.cfg.PencilMemCap,
 			Metrics:   s.pencilMetrics,
-		}, pencil.SliceSource{Data: in, Cols: shape.Cols}, pencil.SliceSink{Data: out, Cols: shape.Cols})
+		}, pencil.SliceSource{Data: buf.complexes(req.input), Cols: shape.Cols}, pencil.SliceSink{Data: out.x, Cols: shape.Cols})
 		if err != nil {
 			var remote *cluster.RemoteError
 			switch {
@@ -149,11 +159,15 @@ func (s *Server) handleFFT2D(w http.ResponseWriter, r *http.Request) {
 			}
 			return
 		}
+		// JSON cannot carry an overflowed (non-finite) sample.
+		if runErr = checkFinite(out.x); runErr != nil {
+			return
+		}
 		resp = &FFT2DResponse{
-			Rows:              req.Rows,
-			Cols:              req.Cols,
-			Depth:             req.Depth,
-			Inverse:           req.Inverse,
+			Rows:              req.rows,
+			Cols:              req.cols,
+			Depth:             req.depth,
+			Inverse:           req.inverse,
 			Distributed:       stats.Workers > 1,
 			Workers:           stats.Workers,
 			Bands:             stats.Bands,
@@ -162,9 +176,12 @@ func (s *Server) handleFFT2D(w http.ResponseWriter, r *http.Request) {
 			WireBytesRecv:     stats.WireBytesRecv,
 			CommFloorBytes:    stats.CommFloorBytes,
 			CommRooflineRatio: stats.RooflineRatio,
-			Output:            fromComplex(out),
+			Output:            fromComplex(out.x),
 		}
 	})
+	if notQueued(poolErr) {
+		buf.release()
+	}
 	if poolErr != nil {
 		if errors.Is(poolErr, ErrDraining) {
 			s.metrics.drained.Add(1)

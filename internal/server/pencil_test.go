@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -168,6 +169,9 @@ func TestFFT2DPencilValidation(t *testing.T) {
 		{"negative depth", FFT2DRequest{Rows: 4, Cols: 4, Depth: -1, Input: make([]Complex, 16)}, http.StatusBadRequest},
 		{"length mismatch", FFT2DRequest{Rows: 4, Cols: 4, Input: make([]Complex, 15)}, http.StatusBadRequest},
 		{"over limit", FFT2DRequest{Rows: 64, Cols: 64, Input: make([]Complex, 4096)}, http.StatusBadRequest},
+		// MaxInt64² wraps to 1 in int arithmetic: the shape must be
+		// refused, not matched against a 1-sample input.
+		{"product overflow", FFT2DRequest{Rows: math.MaxInt64, Cols: math.MaxInt64, Input: make([]Complex, 1)}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp := postJSON(t, ts.URL+"/v1/fft2d", tc.req)

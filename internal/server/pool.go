@@ -117,6 +117,14 @@ func (p *workerPool) do(ctx context.Context, fn func()) error {
 	}
 }
 
+// notQueued reports whether do failed without queueing fn, so fn will
+// never run: whatever fn would have released is still the caller's.
+// Every other outcome — success, a panic, or the caller giving up on
+// context expiry — means fn ran or still will.
+func notQueued(err error) bool {
+	return errors.Is(err, ErrDraining) || errors.Is(err, ErrSaturated)
+}
+
 // close stops accepting new jobs, runs everything already queued, and
 // waits for all workers to exit — the pool half of graceful drain. Safe
 // to call more than once.

@@ -2,34 +2,31 @@ package server
 
 import "sync"
 
-// xbuf is a pooled pair of complex scratch buffers sized for one
-// transform: in receives the decoded samples and out the spectrum. The
-// transform handlers are the service's hot path — every request used to
-// allocate (and garbage-collect) two n-element complex slices; pooling
-// them keeps steady-state request processing off the allocator for the
-// common case of repeated transform sizes.
-type xbuf struct {
-	in, out []complex128
+// cbuf is a pooled complex scratch buffer sized for one transform's
+// output. The transform handlers are the service's hot path; pooling
+// the spectrum buffer keeps steady-state request processing off the
+// allocator for the common case of repeated transform sizes. (The
+// input samples live in the request's pooled reqBuf.)
+type cbuf struct {
+	x []complex128
 }
 
-var xbufPool = sync.Pool{New: func() any { return new(xbuf) }}
+var cbufPool = sync.Pool{New: func() any { return new(cbuf) }}
 
-// getXBuf returns a scratch pair with both buffers sized to n. The
-// contents are stale; callers must overwrite in before reading out.
-func getXBuf(n int) *xbuf {
-	b := xbufPool.Get().(*xbuf)
-	if cap(b.in) < n {
-		b.in = make([]complex128, n)
-		b.out = make([]complex128, n)
+// getCBuf returns a complex scratch buffer sized to n with stale
+// contents; callers must overwrite it before reading it.
+func getCBuf(n int) *cbuf {
+	b := cbufPool.Get().(*cbuf)
+	if cap(b.x) < n {
+		b.x = make([]complex128, n)
 	}
-	b.in = b.in[:n]
-	b.out = b.out[:n]
+	b.x = b.x[:n]
 	return b
 }
 
-// putXBuf returns a scratch pair to the pool. The caller must not keep
-// references to b.in or b.out past this call.
-func putXBuf(b *xbuf) { xbufPool.Put(b) }
+// putCBuf returns a complex scratch buffer to the pool. The caller must
+// not keep references to b.x past this call.
+func putCBuf(b *cbuf) { cbufPool.Put(b) }
 
 // rbuf is a pooled real-sample scratch buffer: the real inverse path
 // synthesizes n float64 samples before widening them into the complex

@@ -15,6 +15,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -23,6 +24,7 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -257,30 +259,12 @@ func unavailable(format string, args ...any) error {
 // maxBodyBytes bounds a transform request body, derived from
 // MaxTransformLen: the JSON wire form of one complex sample
 // ("[<float>,<float>]") is under 64 bytes even at full float64
-// precision, and 64 KiB covers the request envelope. Any valid request
+// precision, and 64 KiB covers the request envelope. The cap counts the
+// whole body, bytes after the JSON value included. Any valid request
 // fits; a hostile or runaway body is cut off at the reader instead of
 // buffered into memory.
 func (s *Server) maxBodyBytes() int64 {
 	return int64(s.cfg.MaxTransformLen)*64 + 64<<10
-}
-
-// decodeBody decodes a JSON request body capped by maxBodyBytes. A body
-// over the cap maps to 413 Request Entity Too Large; malformed JSON
-// (including a body truncated by the cap mid-token on some paths) stays
-// a 400.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBodyBytes())
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return &statusError{
-				status: http.StatusRequestEntityTooLarge,
-				msg:    fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
-			}
-		}
-		return badRequest("decode: %v", err)
-	}
-	return nil
 }
 
 // httpStatus maps a handler error onto a response code: explicit
@@ -433,14 +417,40 @@ func (s *Server) route(pattern string, h http.HandlerFunc, traceable bool) {
 }
 
 // writeJSON renders v with status 200.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		// Headers are already out; nothing useful left to do.
-		return
+func writeJSON(w http.ResponseWriter, v any) { writeJSONStatus(w, http.StatusOK, v) }
+
+// jsonBufs pools response bodies: a body is encoded in full before its
+// status line is written.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// EncodeResponse appends v's compact JSON encoding, newline-terminated,
+// to dst — the body every fftd route writes. On error dst is left as it
+// was. The per-layer benchmark suites time the encode stage with it.
+func EncodeResponse(dst *bytes.Buffer, v any) error {
+	// json.Encoder marshals into its own buffer and writes only a
+	// complete encoding.
+	return json.NewEncoder(dst).Encode(v)
+}
+
+// writeJSONStatus renders v as compact JSON with the given status. The
+// body is encoded before any header goes out, so a value that cannot be
+// marshalled (a non-finite float, say) becomes a 500 with a JSON error
+// body rather than a 200 with an empty one.
+func writeJSONStatus(w http.ResponseWriter, status int, v any) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBytes {
+			jsonBufs.Put(buf)
+		}
+	}()
+	buf.Reset()
+	if err := EncodeResponse(buf, v); err != nil {
+		status = http.StatusInternalServerError
+		_ = EncodeResponse(buf, errorBody{Error: "encode response: " + err.Error(), Status: status})
 	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(buf.Bytes())
 }
 
 // errorBody is the uniform error response shape.
@@ -459,12 +469,8 @@ const retryAfterSeconds = "1"
 // off instead of hammering a full queue.
 func writeError(w http.ResponseWriter, err error) {
 	status := httpStatus(err)
-	w.Header().Set("Content-Type", "application/json")
 	if status == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", retryAfterSeconds)
 	}
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(errorBody{Error: err.Error(), Status: status})
+	writeJSONStatus(w, status, errorBody{Error: err.Error(), Status: status})
 }

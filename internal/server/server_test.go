@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -288,6 +289,24 @@ func postJSON(t *testing.T, url string, body any) *http.Response {
 		t.Fatal(err)
 	}
 	return resp
+}
+
+// drainClose reads resp's body to EOF, then closes it. EOF arrives only
+// after the handler, its middleware included, has returned: a test that
+// closes the body unread and then asserts a middleware side effect
+// (slow-trace capture, request metrics) races the deferred capture.
+func drainClose(resp *http.Response) {
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+}
+
+// toComplex converts wire samples back to complex128 for comparisons.
+func toComplex(pairs []Complex) []complex128 {
+	out := make([]complex128, len(pairs))
+	for i, p := range pairs {
+		out[i] = complex(p[0], p[1])
+	}
+	return out
 }
 
 func decode[T any](t *testing.T, resp *http.Response) T {
